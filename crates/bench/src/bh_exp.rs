@@ -6,7 +6,7 @@
 //! apart.
 
 use crate::executor::Job;
-use crate::{barnes_hut_shapes, make_diva_tuned, HarnessOpts, Scale, SimTuning};
+use crate::{barnes_hut_shapes, make_diva, HarnessOpts, Scale};
 use dm_apps::barnes_hut::{run_shared_driven, BhParams};
 use dm_apps::workload::plummer_bodies;
 use dm_diva::{RunReport, StrategyKind};
@@ -121,33 +121,8 @@ pub fn run_point(
     params: BhParams,
     seed: u64,
 ) -> BhRow {
-    run_point_tuned(
-        mesh,
-        n_bodies,
-        strategy_name,
-        strategy,
-        params,
-        seed,
-        SimTuning::default(),
-    )
-}
-
-/// [`run_point`] with explicit per-simulation tuning knobs (worker threads
-/// inside the simulation, calibrated link costs). Every simulated quantity
-/// of the row is identical for every tuning — the `parallel_parity` suite
-/// gates the worker knob, the cost-table gates in dm-engine the other.
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_tuned(
-    mesh: (usize, usize),
-    n_bodies: usize,
-    strategy_name: &str,
-    strategy: StrategyKind,
-    params: BhParams,
-    seed: u64,
-    tuning: SimTuning,
-) -> BhRow {
     let bodies = plummer_bodies(seed ^ n_bodies as u64, n_bodies);
-    let diva = make_diva_tuned(mesh.0, mesh.1, strategy, seed, tuning);
+    let diva = make_diva(mesh.0, mesh.1, strategy, seed);
     // Runs under the event-driven backend (bit-identical to threaded).
     let out = run_shared_driven(diva, params, &bodies);
     report_to_row(
@@ -185,22 +160,13 @@ pub fn point_job(
     strategy: StrategyKind,
     params: BhParams,
     seed: u64,
-    tuning: SimTuning,
 ) -> Job<BhRow> {
     // Simulation cost scales with bodies × steps, amplified by the mesh the
     // protocol traffic crosses.
     let weight = n_bodies as u64 * (params.timesteps as u64).max(1) * (mesh.0 * mesh.1) as u64;
     let mem = n_bodies as u64 * (mesh.0 * mesh.1) as u64;
     let job = Job::new(weight, move || {
-        run_point_tuned(
-            mesh,
-            n_bodies,
-            &strategy_name,
-            strategy,
-            params,
-            seed,
-            tuning,
-        )
+        run_point(mesh, n_bodies, &strategy_name, strategy, params, seed)
     });
     if mem >= BH_HEAVY_MEM {
         job.heavy()
@@ -322,15 +288,7 @@ pub fn body_sweep(opts: &HarnessOpts) -> Option<BhSweep> {
     for &n in &body_counts {
         params_proto.n_bodies = n;
         for (name, strategy) in barnes_hut_shapes() {
-            jobs.push(point_job(
-                mesh,
-                n,
-                name,
-                strategy,
-                params_proto,
-                opts.seed,
-                opts.tuning(),
-            ));
+            jobs.push(point_job(mesh, n, name, strategy, params_proto, opts.seed));
         }
     }
     Some(BhSweep {
@@ -388,7 +346,6 @@ pub fn scaling_sweep(opts: &HarnessOpts) -> Option<BhSweep> {
                 *strategy,
                 params,
                 opts.seed,
-                opts.tuning(),
             ));
         }
     }
@@ -421,7 +378,6 @@ mod tests {
             StrategyKind::FixedHome,
             params,
             1,
-            crate::SimTuning::default(),
         );
         assert!(mega.weight < crate::executor::HEAVY_WEIGHT);
         assert!(mega.heavy, "mega point uncapped at a low timestep count");
@@ -432,7 +388,6 @@ mod tests {
             StrategyKind::FixedHome,
             params,
             1,
-            crate::SimTuning::default(),
         );
         assert!(!light.heavy, "paper-tier point spuriously capped");
     }

@@ -71,15 +71,8 @@ fn run_barnes_hut(opts: &HarnessOpts, sides: &[usize]) -> Option<Vec<BhRow>> {
         params.n_bodies = n;
         for (name, strategy) in &strategies {
             let progress_name = name.clone();
-            let inner = bh_exp::point_job(
-                (side, side),
-                n,
-                name.clone(),
-                *strategy,
-                params,
-                opts.seed,
-                opts.tuning(),
-            );
+            let inner =
+                bh_exp::point_job((side, side), n, name.clone(), *strategy, params, opts.seed);
             // Propagate the inner job's heaviness: it can exceed what the
             // wrapper's `Job::new` derives from the weight alone (the
             // Barnes-Hut memory proxy flags big points independently of the

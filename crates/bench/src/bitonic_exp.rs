@@ -8,7 +8,7 @@
 //! every `--jobs` value, across `--resume`, and across shard/merge.
 
 use crate::executor::Job;
-use crate::{make_diva_tuned, ratio, HarnessOpts, Scale, SimTuning};
+use crate::{make_diva, ratio, HarnessOpts, Scale};
 use dm_apps::bitonic::{run_hand_optimized_driven, run_shared_driven, BitonicParams};
 use dm_diva::StrategyKind;
 use dm_mesh::TreeShape;
@@ -94,15 +94,13 @@ fn point_jobs(
     keys_per_proc: usize,
     strategies: &[(String, StrategyKind)],
     seed: u64,
-    tuning: SimTuning,
 ) -> Vec<Job<BitonicRow>> {
     let params = BitonicParams::new(keys_per_proc);
     // Cost grows with the processor count and the keys each holds; the
     // baseline exchanges the same keys without protocol traffic.
     let weight = (mesh_side * mesh_side) as u64 * keys_per_proc as u64;
     let mut jobs = Vec::with_capacity(strategies.len() + 1);
-    let baseline_diva =
-        make_diva_tuned(mesh_side, mesh_side, StrategyKind::FixedHome, seed, tuning);
+    let baseline_diva = make_diva(mesh_side, mesh_side, StrategyKind::FixedHome, seed);
     jobs.push(Job::new(weight / 2, move || {
         // All experiment points run under the event-driven backend.
         let out = run_hand_optimized_driven(baseline_diva, params);
@@ -119,7 +117,7 @@ fn point_jobs(
     }));
     for (name, strategy) in strategies {
         let name = name.clone();
-        let diva = make_diva_tuned(mesh_side, mesh_side, *strategy, seed, tuning);
+        let diva = make_diva(mesh_side, mesh_side, *strategy, seed);
         jobs.push(Job::new(weight, move || {
             let out = run_shared_driven(diva, params);
             BitonicRow {
@@ -161,7 +159,7 @@ pub fn sweep(
 ) -> Option<Vec<BitonicRow>> {
     let jobs: Vec<Job<BitonicRow>> = points
         .iter()
-        .flat_map(|&(side, keys)| point_jobs(side, keys, strategies, opts.seed, opts.tuning()))
+        .flat_map(|&(side, keys)| point_jobs(side, keys, strategies, opts.seed))
         .collect();
     let results = crate::stream::run_sweep(opts, tag, jobs)?;
     let mut rows = crate::stream::rows_with_host_ms(results, |row, ms| {

@@ -38,19 +38,16 @@ use dm_diva::{Diva, DivaConfig, FaultPlan, Partitioned, RunReport, StrategyKind}
 use dm_engine::MachineConfig;
 use dm_mesh::{AnyTopology, NodeId, TreeShape};
 
-/// [`crate::make_diva_on_tuned`] plus an optional fault plan.
+/// [`crate::make_diva_on`] plus an optional fault plan.
 pub(crate) fn make_faulty_diva(
     topo: AnyTopology,
     strategy: StrategyKind,
     seed: u64,
     plan: Option<FaultPlan>,
-    tuning: crate::SimTuning,
 ) -> Diva {
     let mut cfg = DivaConfig::on(topo, strategy)
         .with_seed(seed)
-        .with_machine(MachineConfig::parsytec_gcel())
-        .with_workers(tuning.workers)
-        .with_calibrated_delays(tuning.calibrated_delays);
+        .with_machine(MachineConfig::parsytec_gcel());
     if let Some(plan) = plan {
         cfg = cfg.with_fault_plan(plan);
     }
@@ -340,20 +337,19 @@ fn uniform_job(
     plan: Option<PlanCtor>,
     strike_pct: u64,
     params: UniformParams,
-    tuning: crate::SimTuning,
 ) -> Job<FaultRow> {
     let runs = if strike_pct == 0 { 1 } else { 2 };
     let weight = runs * (params.ops_per_proc * topo.nodes()) as u64;
     Job::new(weight, move || {
         let at = strike_time(strike_pct, || {
-            let diva = make_faulty_diva(topo.clone(), strategy, params.seed, None, tuning);
+            let diva = make_faulty_diva(topo.clone(), strategy, params.seed, None);
             match try_run_uniform_driven(diva, params) {
                 Ok(intact) => intact.report.total_time,
                 Err(_) => unreachable!("the intact calibration run cannot partition"),
             }
         });
         let plan = plan.map(|ctor| ctor(params.seed, topo.nodes(), at));
-        let diva = make_faulty_diva(topo.clone(), strategy, params.seed, plan, tuning);
+        let diva = make_faulty_diva(topo.clone(), strategy, params.seed, plan);
         let out = try_run_uniform_driven(diva, params);
         let outcome = match &out {
             Ok(o) => Ok(&o.report),
@@ -383,7 +379,6 @@ fn bh_job(
     strike_pct: u64,
     params: BhParams,
     seed: u64,
-    tuning: crate::SimTuning,
 ) -> Job<FaultRow> {
     let runs = if strike_pct == 0 { 1 } else { 2 };
     let weight =
@@ -392,14 +387,14 @@ fn bh_job(
     let job = Job::new(weight, move || {
         let bodies = plummer_bodies(seed ^ params.n_bodies as u64, params.n_bodies);
         let at = strike_time(strike_pct, || {
-            let diva = make_faulty_diva(topo.clone(), strategy, seed, None, tuning);
+            let diva = make_faulty_diva(topo.clone(), strategy, seed, None);
             match try_run_shared_driven(diva, params, &bodies) {
                 Ok(intact) => intact.report.total_time,
                 Err(_) => unreachable!("the intact calibration run cannot partition"),
             }
         });
         let plan = plan.map(|ctor| ctor(seed, topo.nodes(), at));
-        let diva = make_faulty_diva(topo.clone(), strategy, seed, plan, tuning);
+        let diva = make_faulty_diva(topo.clone(), strategy, seed, plan);
         let out = try_run_shared_driven(diva, params, &bodies);
         let outcome = match &out {
             Ok(o) => Ok(&o.report),
@@ -503,7 +498,6 @@ pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<FaultSweep> {
                                 *ctor,
                                 strike,
                                 uniform_params,
-                                opts.tuning(),
                             ),
                             _ => bh_job(
                                 topo.clone(),
@@ -514,7 +508,6 @@ pub fn graceful_degradation_sweep(opts: &HarnessOpts) -> Option<FaultSweep> {
                                 strike,
                                 bh_params,
                                 opts.seed,
-                                opts.tuning(),
                             ),
                         });
                     }
@@ -574,7 +567,6 @@ mod tests {
             Some(sc_fail_node),
             0,
             params,
-            crate::SimTuning::default(),
         )
         .call();
         assert_eq!(row.outcome, "degraded@1");
@@ -604,7 +596,6 @@ mod tests {
             Some(sc_flap),
             50,
             params,
-            crate::SimTuning::default(),
         )
         .call();
         assert_eq!(row.strike_pct, 50);
@@ -632,7 +623,6 @@ mod tests {
             Some(sever),
             0,
             params,
-            crate::SimTuning::default(),
         )
         .call();
         assert!(row.outcome.starts_with("partitioned@"), "{}", row.outcome);

@@ -30,14 +30,14 @@
 use crate::executor::Job;
 use crate::fault_exp::make_faulty_diva;
 use crate::topo_exp::topologies_at;
-use crate::{barnes_hut_shapes, HarnessOpts, Scale, SimTuning};
+use crate::{barnes_hut_shapes, HarnessOpts, Scale};
 use dm_apps::kv::{run_kv_driven, ChurnParams, KeyDist, KvParams};
 use dm_diva::{FaultPlan, StrategyKind};
 use dm_mesh::AnyTopology;
 
 /// Measurements of one (topology, workload, churn, strategy) point. All
 /// fields except `host_ms` are simulated quantities and byte-identical
-/// across `--jobs`, `--workers`, debug/release and resumed runs.
+/// across `--jobs`, debug/release and resumed runs.
 #[derive(Debug, Clone)]
 pub struct KvRow {
     /// Topology name (`mesh 8x8`, `torus 8x8`, `hypercube-6`, `fat-tree-64`).
@@ -188,7 +188,6 @@ fn kv_job(
     strategy: StrategyKind,
     params: KvParams,
     churn_label: &'static str,
-    tuning: SimTuning,
 ) -> Job<KvRow> {
     let weight = (params.ops_per_client * topo.nodes()) as u64;
     Job::new(weight, move || {
@@ -199,7 +198,7 @@ fn kv_job(
             let (fraction, factor, at, duration) = CHURN_DEGRADE;
             FaultPlan::new(params.seed ^ 0xC4).degrade_links_for(fraction, factor, at, duration)
         });
-        let diva = make_faulty_diva(topo.clone(), strategy, params.seed, plan, tuning);
+        let diva = make_faulty_diva(topo.clone(), strategy, params.seed, plan);
         let workload = params.dist.label();
         let out = run_kv_driven(diva, params);
         let s = &out.report.serving;
@@ -265,14 +264,7 @@ pub fn kv_serving_sweep(opts: &HarnessOpts) -> Option<KvSweep> {
                         churn,
                         ..base.clone()
                     };
-                    jobs.push(kv_job(
-                        topo.clone(),
-                        name,
-                        strategy,
-                        params,
-                        churn_label,
-                        opts.tuning(),
-                    ));
+                    jobs.push(kv_job(topo.clone(), name, strategy, params, churn_label));
                 }
             }
         }
@@ -323,7 +315,6 @@ mod tests {
             StrategyKind::FixedHome,
             smoke_params(KeyDist::Zipf(0.9), None),
             "off",
-            SimTuning::default(),
         )
         .call();
         assert_eq!(row.workload, "zipf-0.9");
@@ -349,7 +340,6 @@ mod tests {
                 }),
             ),
             "on",
-            SimTuning::default(),
         )
         .call();
         assert_eq!(row.churn, "on");

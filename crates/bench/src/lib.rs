@@ -38,7 +38,6 @@
 
 pub mod bh_exp;
 pub mod bitonic_exp;
-pub mod calibration;
 pub mod executor;
 pub mod fault_exp;
 pub mod json;
@@ -130,19 +129,6 @@ pub struct HarnessOpts {
     /// result payload, in the shape the `trajectory` binary diffs across
     /// commits (simulated quantities exactly; `host_ms` informational).
     pub snapshot: Option<String>,
-    /// Worker threads *inside* each simulation (`--workers N`): the parallel
-    /// driven backend partitions the processors across N threads via the
-    /// decomposition tree. `None`/`1` takes the serial driven backend
-    /// untouched; every simulated quantity is bit-identical for every value
-    /// (the `parallel_parity` suite gates this). Composes with `--jobs`
-    /// under a shared thread budget — see [`HarnessOpts::jobs`].
-    pub workers: Option<usize>,
-    /// Apply the per-topology calibrated link-cost presets
-    /// (`--calibrated-delays`): slower torus wrap links, latency growing
-    /// with the bridged dimension on hypercubes, faster upper fat-tree
-    /// stages. Off by default; the default uniform costs are bit-identical
-    /// to the pre-preset behaviour.
-    pub calibrated_delays: bool,
     /// Strike times of the fig13 fault scenarios (`--strike-at 0,25,50,75`),
     /// as percents of the group's *intact* run length. Empty means `[0]`
     /// (every fault strikes at t=0). A non-zero strike makes each faulted
@@ -166,28 +152,7 @@ impl Default for HarnessOpts {
             resume: false,
             shard: None,
             snapshot: None,
-            workers: None,
-            calibrated_delays: false,
             strike_at: Vec::new(),
-        }
-    }
-}
-
-/// Per-simulation tuning knobs, threaded from the harness flags into every
-/// DIVA instance an experiment constructs (see [`HarnessOpts::tuning`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimTuning {
-    /// Worker threads of the parallel driven backend (1 = serial backend).
-    pub workers: usize,
-    /// Apply the per-topology calibrated link-cost presets.
-    pub calibrated_delays: bool,
-}
-
-impl Default for SimTuning {
-    fn default() -> Self {
-        SimTuning {
-            workers: 1,
-            calibrated_delays: false,
         }
     }
 }
@@ -212,6 +177,36 @@ impl ExtraFlags {
     }
 }
 
+/// Why [`HarnessOpts::parse_args`] returned no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// `--help` or `-h` was given.
+    Help,
+    /// An unknown argument, or a flag with a missing or malformed value.
+    Invalid(String),
+}
+
+/// The usage line of a figure binary with the given extra flags.
+fn usage(extra_flags: &[&str]) -> String {
+    let mut line = String::from(
+        "usage: <fig> [--smoke|--paper|--mega] [--json FILE] [--seed N] [--jobs N] \
+         [--resume] [--shard I/N] [--snapshot FILE] [--strike-at P1,P2,...] \
+         [--no-reclaim] [--timesteps N]",
+    );
+    for f in extra_flags {
+        line.push_str(&format!(" [{f}]"));
+    }
+    line
+}
+
+/// A positive integer flag value.
+fn positive(flag: &str, v: &str) -> Result<usize, ArgError> {
+    v.parse()
+        .ok()
+        .filter(|n| *n > 0)
+        .ok_or_else(|| ArgError::Invalid(format!("{flag} {v}: needs a positive integer")))
+}
+
 impl HarnessOpts {
     /// The selected scale tier. When several tier flags are given the
     /// largest wins (`--mega` > `--paper` > `--smoke`).
@@ -227,26 +222,15 @@ impl HarnessOpts {
         }
     }
 
-    /// The worker-thread count of the sweep executor: `--jobs N` if given.
-    /// Otherwise the host's available parallelism *divided by the per-sim
-    /// worker count*, so that intra-sim (`--workers`) and inter-sim
-    /// (`--jobs`) parallelism compose without oversubscribing the machine:
-    /// `--workers 4` on an 8-core host runs 2 simulations at a time, each
-    /// stepping programs on up to 4 threads. An explicit `--jobs` always
-    /// wins — the budget split is only the default.
+    /// The worker-thread count of the sweep executor: `--jobs N` if given,
+    /// the host's available parallelism otherwise. Each simulation runs on
+    /// one thread, so this is also the number of cores a sweep occupies.
     pub fn jobs(&self) -> usize {
         self.jobs.unwrap_or_else(|| {
-            let cores = std::thread::available_parallelism()
+            std::thread::available_parallelism()
                 .map(|n| n.get())
-                .unwrap_or(1);
-            (cores / self.workers()).max(1)
+                .unwrap_or(1)
         })
-    }
-
-    /// The per-simulation worker-thread count: `--workers N` if given, 1
-    /// (the serial driven backend) otherwise.
-    pub fn workers(&self) -> usize {
-        self.workers.unwrap_or(1)
     }
 
     /// The fig13 strike-time axis: the `--strike-at` percents, or `[0]`
@@ -259,149 +243,102 @@ impl HarnessOpts {
         }
     }
 
-    /// The per-simulation tuning knobs as one bundle, for threading through
-    /// an experiment's job-description functions.
-    pub fn tuning(&self) -> SimTuning {
-        SimTuning {
-            workers: self.workers(),
-            calibrated_delays: self.calibrated_delays,
-        }
-    }
-
-    /// Parse the options from command-line arguments (warns about unknown
-    /// flags). Binaries with extra boolean flags of their own use
-    /// [`HarnessOpts::parse`].
+    /// Parse the options from the command line. Binaries with extra boolean
+    /// flags of their own use [`HarnessOpts::parse`].
     pub fn from_args() -> Self {
         Self::parse(&[]).0
     }
 
     /// Parse the shared harness options plus the listed binary-specific
-    /// boolean flags, in one pass. This is *the* flag parser of the figure
-    /// suite: every binary shares the `--smoke/--paper/--mega/--json/--seed/
-    /// --jobs/--no-reclaim/--timesteps` handling (and the `--help` text),
-    /// and gets its extra flags back through [`ExtraFlags::has`] instead of
-    /// re-scanning `std::env::args` itself.
+    /// boolean flags from the command line (see [`HarnessOpts::parse_args`]).
+    /// `--help` prints the usage and exits 0; an unknown flag or a bad value
+    /// prints the error and the usage to stderr and exits 2, so a typo never
+    /// silently runs a different tier.
     pub fn parse(extra_flags: &[&'static str]) -> (Self, ExtraFlags) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match Self::parse_args(&args, extra_flags) {
+            Ok(parsed) => parsed,
+            Err(ArgError::Help) => {
+                eprintln!("{}", usage(extra_flags));
+                std::process::exit(0);
+            }
+            Err(ArgError::Invalid(msg)) => {
+                eprintln!("error: {msg}\n{}", usage(extra_flags));
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// Parse `args` (without the program name) into the shared harness
+    /// options plus the listed binary-specific boolean flags. This is *the*
+    /// flag parser of the figure suite: every binary shares the
+    /// `--smoke/--paper/--mega/--json/--seed/--jobs/...` handling, and gets
+    /// its extra flags back through [`ExtraFlags::has`].
+    pub fn parse_args(
+        args: &[String],
+        extra_flags: &[&'static str],
+    ) -> Result<(Self, ExtraFlags), ArgError> {
         let mut opts = HarnessOpts::default();
         let mut extra = ExtraFlags {
             names: extra_flags.to_vec(),
             seen: vec![false; extra_flags.len()],
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            // The value token of `flag`; a missing one or another flag in
+            // its place is an error, not an empty value.
+            let mut value = |what: &str| match args.next() {
+                Some(v) if !v.starts_with('-') => Ok(v.as_str()),
+                _ => Err(ArgError::Invalid(format!("{flag} needs {what}"))),
+            };
+            match flag.as_str() {
                 "--paper" => opts.paper = true,
                 "--smoke" => opts.smoke = true,
                 "--mega" => opts.mega = true,
                 "--no-reclaim" => opts.reclaim = false,
-                "--timesteps" => {
-                    let value = args.get(i + 1);
-                    match value.and_then(|s| s.parse().ok()) {
-                        Some(t) => opts.timesteps = Some(t),
-                        None => eprintln!("--timesteps needs a positive integer value; ignoring"),
-                    }
-                    // Consume the value token even when it failed to parse,
-                    // so it is not re-reported as an unknown argument.
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
-                }
-                "--jobs" => {
-                    let value = args.get(i + 1);
-                    match value.and_then(|s| s.parse::<usize>().ok()) {
-                        Some(j) if j > 0 => opts.jobs = Some(j),
-                        _ => eprintln!("--jobs needs a positive integer value; ignoring"),
-                    }
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
-                }
-                "--workers" => {
-                    let value = args.get(i + 1);
-                    match value.and_then(|s| s.parse::<usize>().ok()) {
-                        Some(w) if w > 0 => opts.workers = Some(w),
-                        _ => eprintln!("--workers needs a positive integer value; ignoring"),
-                    }
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
-                }
-                "--calibrated-delays" => opts.calibrated_delays = true,
-                "--strike-at" => {
-                    let value = args.get(i + 1);
-                    let parsed = value.and_then(|s| {
-                        s.split(',')
-                            .map(|t| t.trim().parse::<u64>().ok().filter(|p| *p < 100))
-                            .collect::<Option<Vec<u64>>>()
-                    });
-                    match parsed {
-                        Some(list) if !list.is_empty() => opts.strike_at = list,
-                        _ => eprintln!(
-                            "--strike-at needs a comma-separated list of percents below 100 \
-                             (e.g. 0,25,50,75); ignoring"
-                        ),
-                    }
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
-                }
-                flag if extra_flags.contains(&flag) => {
-                    let idx = extra_flags.iter().position(|f| *f == flag).unwrap();
-                    extra.seen[idx] = true;
-                }
-                "--json" => {
-                    i += 1;
-                    opts.json = args.get(i).cloned();
-                }
-                "--snapshot" => {
-                    i += 1;
-                    opts.snapshot = args.get(i).cloned();
-                }
                 "--resume" => opts.resume = true,
-                "--shard" => {
-                    let value = args.get(i + 1);
-                    let parsed = value.and_then(|s| {
-                        let (a, b) = s.split_once('/')?;
-                        let shard: usize = a.parse().ok()?;
-                        let of: usize = b.parse().ok()?;
-                        (of >= 1 && shard < of).then_some((shard, of))
-                    });
-                    match parsed {
-                        Some(pair) => opts.shard = Some(pair),
-                        None => eprintln!("--shard needs i/n with i < n (e.g. 0/2); ignoring"),
-                    }
-                    if value.is_some_and(|v| !v.starts_with("--")) {
-                        i += 1;
-                    }
-                }
+                "--json" => opts.json = Some(value("a file path")?.to_string()),
+                "--snapshot" => opts.snapshot = Some(value("a file path")?.to_string()),
                 "--seed" => {
-                    i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(opts.seed);
+                    let v = value("an integer value")?;
+                    opts.seed = v
+                        .parse()
+                        .map_err(|_| ArgError::Invalid(format!("--seed {v}: not an integer")))?;
                 }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: <fig> [--smoke|--paper|--mega] [--json FILE] [--seed N] \
-                         [--jobs N] [--workers N] [--calibrated-delays] [--resume] \
-                         [--shard I/N] [--snapshot FILE] [--strike-at P1,P2,...] \
-                         [--no-reclaim] [--timesteps N]{}{}",
-                        if extra_flags.is_empty() { "" } else { " " },
-                        extra_flags
-                            .iter()
-                            .map(|f| format!("[{f}]"))
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    );
-                    std::process::exit(0);
+                "--timesteps" => opts.timesteps = Some(positive(flag, value("a count")?)?),
+                "--jobs" => opts.jobs = Some(positive(flag, value("a count")?)?),
+                "--strike-at" => {
+                    let v = value("a list of percents")?;
+                    let list = v
+                        .split(',')
+                        .map(|t| t.trim().parse::<u64>().ok().filter(|p| *p < 100))
+                        .collect::<Option<Vec<u64>>>()
+                        .ok_or_else(|| {
+                            ArgError::Invalid(format!(
+                                "--strike-at {v}: needs a comma-separated list of \
+                                 percents below 100 (e.g. 0,25,50,75)"
+                            ))
+                        })?;
+                    opts.strike_at = list;
                 }
-                other => eprintln!("ignoring unknown argument {other}"),
+                "--shard" => {
+                    let v = value("i/n")?;
+                    let parsed = v.split_once('/').and_then(|(a, b)| {
+                        let (shard, of) = (a.parse::<usize>().ok()?, b.parse::<usize>().ok()?);
+                        (shard < of).then_some((shard, of))
+                    });
+                    opts.shard = Some(parsed.ok_or_else(|| {
+                        ArgError::Invalid(format!("--shard {v}: needs i/n with i < n (e.g. 0/2)"))
+                    })?);
+                }
+                "--help" | "-h" => return Err(ArgError::Help),
+                other => match extra_flags.iter().position(|f| *f == other) {
+                    Some(idx) => extra.seen[idx] = true,
+                    None => return Err(ArgError::Invalid(format!("unknown argument {other}"))),
+                },
             }
-            i += 1;
         }
-        (opts, extra)
+        Ok((opts, extra))
     }
 
     /// Write `rows` to the JSON file if one was requested.
@@ -434,46 +371,20 @@ impl HarnessOpts {
     }
 }
 
-/// Construct a DIVA instance for a mesh experiment (default tuning: serial
-/// driven backend, uniform link costs).
+/// Construct a DIVA instance for a mesh experiment.
 pub fn make_diva(side_rows: usize, side_cols: usize, strategy: StrategyKind, seed: u64) -> Diva {
-    make_diva_tuned(side_rows, side_cols, strategy, seed, SimTuning::default())
-}
-
-/// [`make_diva`] with explicit per-simulation tuning knobs.
-pub fn make_diva_tuned(
-    side_rows: usize,
-    side_cols: usize,
-    strategy: StrategyKind,
-    seed: u64,
-    tuning: SimTuning,
-) -> Diva {
-    make_diva_on_tuned(
+    make_diva_on(
         AnyTopology::Mesh(Mesh::new(side_rows, side_cols)),
         strategy,
         seed,
-        tuning,
     )
 }
 
-/// Construct a DIVA instance for an experiment on an arbitrary topology
-/// (default tuning).
+/// Construct a DIVA instance for an experiment on an arbitrary topology.
 pub fn make_diva_on(topology: AnyTopology, strategy: StrategyKind, seed: u64) -> Diva {
-    make_diva_on_tuned(topology, strategy, seed, SimTuning::default())
-}
-
-/// [`make_diva_on`] with explicit per-simulation tuning knobs.
-pub fn make_diva_on_tuned(
-    topology: AnyTopology,
-    strategy: StrategyKind,
-    seed: u64,
-    tuning: SimTuning,
-) -> Diva {
     let cfg = DivaConfig::on(topology, strategy)
         .with_seed(seed)
-        .with_machine(MachineConfig::parsytec_gcel())
-        .with_workers(tuning.workers)
-        .with_calibrated_delays(tuning.calibrated_delays);
+        .with_machine(MachineConfig::parsytec_gcel());
     Diva::new(cfg)
 }
 
@@ -533,19 +444,6 @@ mod tests {
         let d = make_diva(4, 4, StrategyKind::FixedHome, 1);
         assert_eq!(d.num_procs(), 16);
         assert_eq!(d.config().strategy, StrategyKind::FixedHome);
-        assert_eq!(d.config().workers, 1);
-        assert!(!d.config().calibrated_delays);
-    }
-
-    #[test]
-    fn tuning_knobs_reach_the_diva_config() {
-        let tuning = SimTuning {
-            workers: 4,
-            calibrated_delays: true,
-        };
-        let d = make_diva_tuned(4, 4, StrategyKind::FixedHome, 1, tuning);
-        assert_eq!(d.config().workers, 4);
-        assert!(d.config().calibrated_delays);
     }
 
     #[test]
@@ -556,21 +454,92 @@ mod tests {
         assert_eq!(opts.strikes(), vec![0, 25, 50, 75]);
     }
 
+    fn parse(args: &[&str]) -> Result<(HarnessOpts, ExtraFlags), ArgError> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        HarnessOpts::parse_args(&args, &["--bh"])
+    }
+
+    fn rejected(args: &[&str]) -> bool {
+        matches!(parse(args), Err(ArgError::Invalid(_)))
+    }
+
     #[test]
-    fn jobs_budget_respects_the_per_sim_worker_count() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut opts = HarnessOpts::default();
-        assert_eq!(opts.workers(), 1);
-        assert_eq!(opts.jobs(), cores);
-        // Splitting the budget: workers eat into the default job count, but
-        // never below one sweep worker.
-        opts.workers = Some(4);
-        assert_eq!(opts.workers(), 4);
-        assert_eq!(opts.jobs(), (cores / 4).max(1));
-        // An explicit --jobs always wins over the split.
-        opts.jobs = Some(7);
-        assert_eq!(opts.jobs(), 7);
+    fn unknown_and_removed_flags_are_rejected() {
+        assert!(rejected(&["--paperr"]));
+        assert!(rejected(&["--smoke", "stray"]));
+        assert!(rejected(&["--workers", "2"]));
+        assert!(rejected(&["--calibrated-delays"]));
+        // An extra flag is only known to the binary that declares it.
+        let args = vec!["--bh".to_string()];
+        assert!(HarnessOpts::parse_args(&args, &[]).is_err());
+    }
+
+    #[test]
+    fn bad_values_are_rejected() {
+        assert!(rejected(&["--jobs", "0"]));
+        assert!(rejected(&["--jobs", "many"]));
+        assert!(rejected(&["--timesteps", "0"]));
+        assert!(rejected(&["--seed", "abc"]));
+        assert!(rejected(&["--shard", "2/2"]));
+        assert!(rejected(&["--shard", "1"]));
+        assert!(rejected(&["--strike-at", "100"]));
+        assert!(rejected(&["--strike-at", "0,x"]));
+    }
+
+    #[test]
+    fn value_flags_need_a_value() {
+        for flag in ["--json", "--snapshot", "--seed", "--jobs", "--shard"] {
+            assert!(rejected(&[flag]), "{flag} with no value");
+            assert!(rejected(&[flag, "--smoke"]), "{flag} followed by a flag");
+        }
+    }
+
+    #[test]
+    fn help_flags_return_help() {
+        assert_eq!(parse(&["--smoke", "-h"]).err(), Some(ArgError::Help));
+        assert_eq!(parse(&["--help"]).err(), Some(ArgError::Help));
+    }
+
+    #[test]
+    fn every_flag_in_use_is_accepted() {
+        // The flag sets the goldens, CI and the determinism tests pass.
+        let (opts, flags) = parse(&[
+            "--smoke",
+            "--jobs",
+            "2",
+            "--json",
+            "out.json",
+            "--resume",
+            "--strike-at",
+            "0,50",
+            "--bh",
+            "--no-reclaim",
+        ])
+        .unwrap();
+        assert_eq!(opts.scale(), Scale::Smoke);
+        assert_eq!(opts.jobs(), 2);
+        assert_eq!(opts.json.as_deref(), Some("out.json"));
+        assert!(opts.resume && !opts.reclaim && flags.has("--bh"));
+        assert_eq!(opts.strikes(), vec![0, 50]);
+        let (opts, _) = parse(&[
+            "--paper",
+            "--shard",
+            "1/4",
+            "--snapshot",
+            "BENCH_fig8.json",
+            "--seed",
+            "7",
+            "--timesteps",
+            "3",
+            "--mega",
+        ])
+        .unwrap();
+        assert_eq!(opts.scale(), Scale::Mega);
+        assert_eq!(opts.shard, Some((1, 4)));
+        assert_eq!(opts.snapshot.as_deref(), Some("BENCH_fig8.json"));
+        assert_eq!((opts.seed, opts.timesteps), (7, Some(3)));
+        let (opts, flags) = parse(&[]).unwrap();
+        assert_eq!(opts.scale(), Scale::Default);
+        assert!(!flags.has("--bh"));
     }
 }

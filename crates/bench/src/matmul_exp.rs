@@ -11,7 +11,7 @@
 //! rows; ratios are always recomputed at assembly.
 
 use crate::executor::Job;
-use crate::{make_diva_tuned, ratio, HarnessOpts, Scale, SimTuning};
+use crate::{make_diva, ratio, HarnessOpts, Scale};
 use dm_apps::matmul::{run_hand_optimized_driven, run_shared_driven, MatmulParams};
 use dm_diva::StrategyKind;
 use dm_mesh::TreeShape;
@@ -71,7 +71,6 @@ fn point_jobs(
     block_ints: usize,
     strategies: &[(String, StrategyKind)],
     seed: u64,
-    tuning: SimTuning,
 ) -> Vec<Job<MatmulRow>> {
     let params = MatmulParams::new(block_ints);
     // Simulation cost grows with the mesh area and the block volume; the
@@ -81,8 +80,7 @@ fn point_jobs(
     // The Diva instances are constructed *here*, at description time, and
     // move into their jobs — whole simulations crossing worker threads is
     // exactly what the compile-time `Send` audit in dm-diva guarantees.
-    let baseline_diva =
-        make_diva_tuned(mesh_side, mesh_side, StrategyKind::FixedHome, seed, tuning);
+    let baseline_diva = make_diva(mesh_side, mesh_side, StrategyKind::FixedHome, seed);
     jobs.push(Job::new(weight / 2, move || {
         // All experiment points run under the event-driven backend
         // (bit-identical reports to the threaded one, orders of magnitude
@@ -101,7 +99,7 @@ fn point_jobs(
     }));
     for (name, strategy) in strategies {
         let name = name.clone();
-        let diva = make_diva_tuned(mesh_side, mesh_side, *strategy, seed, tuning);
+        let diva = make_diva(mesh_side, mesh_side, *strategy, seed);
         jobs.push(Job::new(weight, move || {
             let out = run_shared_driven(diva, params);
             MatmulRow {
@@ -145,7 +143,7 @@ pub fn sweep(
 ) -> Option<Vec<MatmulRow>> {
     let jobs: Vec<Job<MatmulRow>> = points
         .iter()
-        .flat_map(|&(side, block)| point_jobs(side, block, strategies, opts.seed, opts.tuning()))
+        .flat_map(|&(side, block)| point_jobs(side, block, strategies, opts.seed))
         .collect();
     let results = crate::stream::run_sweep(opts, tag, jobs)?;
     let mut rows = crate::stream::rows_with_host_ms(results, |row, ms| {

@@ -16,7 +16,7 @@
 //! and JSON for every `N` (the `jobs_determinism` gate covers `fig12`).
 
 use crate::executor::Job;
-use crate::{barnes_hut_shapes, make_diva_on_tuned, HarnessOpts, Scale, SimTuning};
+use crate::{barnes_hut_shapes, make_diva_on, HarnessOpts, Scale};
 use dm_apps::barnes_hut::{run_shared_driven, BhParams};
 use dm_apps::uniform::{run_uniform_driven, UniformParams};
 use dm_apps::workload::plummer_bodies;
@@ -161,11 +161,10 @@ fn uniform_job(
     strategy_name: String,
     strategy: StrategyKind,
     params: UniformParams,
-    tuning: SimTuning,
 ) -> Job<TopoRow> {
     let weight = (params.ops_per_proc * topo.nodes()) as u64;
     Job::new(weight, move || {
-        let diva = make_diva_on_tuned(topo.clone(), strategy, params.seed, tuning);
+        let diva = make_diva_on(topo.clone(), strategy, params.seed);
         let out = run_uniform_driven(diva, params);
         fill_row(&topo, "uniform", &strategy_name, &out.report)
     })
@@ -181,13 +180,12 @@ fn bh_job(
     strategy: StrategyKind,
     params: BhParams,
     seed: u64,
-    tuning: SimTuning,
 ) -> Job<TopoRow> {
     let weight = params.n_bodies as u64 * (params.timesteps as u64).max(1) * topo.nodes() as u64;
     let mem = params.n_bodies as u64 * topo.nodes() as u64;
     let job = Job::new(weight, move || {
         let bodies = plummer_bodies(seed ^ params.n_bodies as u64, params.n_bodies);
-        let diva = make_diva_on_tuned(topo.clone(), strategy, seed, tuning);
+        let diva = make_diva_on(topo.clone(), strategy, seed);
         let out = run_shared_driven(diva, params, &bodies);
         fill_row(&topo, "barnes-hut", &strategy_name, &out.report)
     });
@@ -228,16 +226,8 @@ pub fn cross_topology_sweep(opts: &HarnessOpts) -> Option<TopoSweep> {
                 name.clone(),
                 strategy,
                 uniform_params,
-                opts.tuning(),
             ));
-            jobs.push(bh_job(
-                topo.clone(),
-                name,
-                strategy,
-                bh_params,
-                opts.seed,
-                opts.tuning(),
-            ));
+            jobs.push(bh_job(topo.clone(), name, strategy, bh_params, opts.seed));
         }
     }
     let results = crate::stream::run_sweep(opts, "", jobs)?;
@@ -286,14 +276,7 @@ mod tests {
             ops_per_proc: 8,
             ..UniformParams::new(16)
         };
-        let row = uniform_job(
-            topo,
-            "fixed home".into(),
-            StrategyKind::FixedHome,
-            params,
-            SimTuning::default(),
-        )
-        .call();
+        let row = uniform_job(topo, "fixed home".into(), StrategyKind::FixedHome, params).call();
         assert_eq!(row.workload, "uniform");
         assert_eq!(row.nodes, 16);
         assert!(row.exec_time_ns > 0);
@@ -315,7 +298,6 @@ mod tests {
             StrategyKind::AccessTree(dm_mesh::TreeShape::quad()),
             params,
             3,
-            SimTuning::default(),
         )
         .call();
         assert_eq!(row.workload, "barnes-hut");

@@ -84,7 +84,7 @@ pub const RESPONSE_BUCKETS: usize = 32;
 /// implementation — not by the policies and not by the frontends — so both
 /// strategies and all execution backends report bit-identical values. All
 /// fields are simulated quantities (no host clocks, no allocation addresses),
-/// which keeps them byte-exact across `--jobs`, `--workers`, debug/release
+/// which keeps them byte-exact across `--jobs`, debug/release
 /// and resumed runs. Fields stay zero for workloads that never touch shared
 /// variables, so reports of the message-passing baselines are unchanged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

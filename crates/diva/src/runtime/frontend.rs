@@ -113,8 +113,8 @@ impl Frontend for ThreadedFrontend {
     }
 }
 
-/// Per-processor state of the driven frontends (serial and parallel).
-pub(super) struct Slot {
+/// Per-processor state of the driven frontend.
+struct Slot {
     /// Result of the last completed `Read` / `Recv`, until the program takes it.
     value: Option<Value>,
     /// Result of the last completed `Alloc`.
@@ -128,7 +128,7 @@ pub(super) struct Slot {
 }
 
 impl Slot {
-    pub(super) fn new() -> Self {
+    fn new() -> Self {
         Slot {
             value: None,
             handle: None,
@@ -140,7 +140,7 @@ impl Slot {
 
     /// Absorb a coordinator response into the slot (the processor becomes
     /// runnable; its next step sees the stored payload).
-    pub(super) fn absorb(&mut self, resp: Response) {
+    fn absorb(&mut self, resp: Response) {
         match resp {
             Response::Value(v) => self.value = Some(v),
             Response::Handle(h) => self.handle = Some(h),
@@ -152,14 +152,12 @@ impl Slot {
 /// Step one program until it yields a blocking operation (fast-path reads
 /// and `Compute` are absorbed inline) and convert it into a request.
 ///
-/// This is the single stepping routine of both driven frontends. It touches
-/// only the processor's own program and slot plus *read-only* shared state
-/// (the coordinator is quiescent while a round is gathered), which is what
-/// makes a round's requests safe to produce on worker threads in any order:
-/// the resulting `TimedRequest`s are identical however the round is
-/// scheduled, and the coordinator's `(issue time, processor id)` sort fixes
-/// the handling order afterwards.
-pub(super) fn step_to_request<P: ProcProgram>(
+/// It touches only the processor's own program and slot plus *read-only*
+/// shared state (the coordinator is quiescent while a round is gathered), so
+/// a round's requests do not depend on the order they are produced in; the
+/// coordinator's `(issue time, processor id)` sort fixes the handling order
+/// afterwards.
+fn step_to_request<P: ProcProgram>(
     program: &mut P,
     slot: &mut Slot,
     proc: usize,

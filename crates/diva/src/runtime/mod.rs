@@ -3,7 +3,6 @@
 
 mod coordinator;
 mod frontend;
-mod parallel;
 mod proc_ctx;
 mod program;
 mod shared;
@@ -22,8 +21,7 @@ use crate::var::{Value, VarHandle, VarRegistry};
 use coordinator::Coordinator;
 use dm_engine::{MachineConfig, SimTime};
 use dm_mesh::{AnyTopology, Mesh, NodeId, TreeShape};
-use frontend::{DrivenFrontend, Frontend, ThreadedFrontend};
-use parallel::ParallelFrontend;
+use frontend::{DrivenFrontend, ThreadedFrontend};
 use shared::SharedState;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -78,19 +76,6 @@ pub struct DivaConfig {
     /// (the default) is guaranteed bit-identical to a build without the fault
     /// subsystem — the fault-free goldens gate this.
     pub fault_plan: Option<FaultPlan>,
-    /// Number of worker threads the driven backend uses to step programs
-    /// within a request round (see `runtime::parallel`). `1` (the default)
-    /// takes the serial [`Diva::run_driven`] code path unchanged; any value
-    /// produces bit-identical [`RunReport`]s — the `parallel_parity` tests
-    /// in `dm-apps` gate this. Parallelism never changes a simulated
-    /// quantity, only host wall-clock.
-    pub workers: usize,
-    /// Apply per-topology calibrated link-cost presets (longer torus wrap
-    /// links, faster upper fat-tree stages, dimension-scaled hypercube
-    /// wires) on top of the uniform machine constants — see
-    /// [`dm_engine::LinkNetwork::apply_calibrated_costs`]. Off by default;
-    /// the default is bit-identical to builds without the feature.
-    pub calibrated_delays: bool,
 }
 
 impl DivaConfig {
@@ -114,8 +99,6 @@ impl DivaConfig {
             barrier_shape: TreeShape::quad(),
             trace_queue: false,
             fault_plan: None,
-            workers: 1,
-            calibrated_delays: false,
         }
     }
 
@@ -150,20 +133,6 @@ impl DivaConfig {
     /// Attach a deterministic failure schedule (see [`crate::fault`]).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Set the number of driven-backend worker threads (see
-    /// [`DivaConfig::workers`]). `0` is normalised to `1`.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Enable per-topology calibrated link delays (see
-    /// [`DivaConfig::calibrated_delays`]).
-    pub fn with_calibrated_delays(mut self, on: bool) -> Self {
-        self.calibrated_delays = on;
         self
     }
 }
@@ -208,7 +177,7 @@ pub struct Degraded<R> {
     pub lost_procs: Vec<NodeId>,
     /// FNV-1a digest over `(processor id, final clock)` of every surviving
     /// processor — a compact cross-backend parity witness for degraded runs
-    /// (bit-identical across the threaded, driven and parallel backends).
+    /// (bit-identical across the threaded and driven backends).
     pub survivor_checksum: u64,
     /// Statistics of the whole (degraded) run.
     pub report: RunReport,
@@ -469,9 +438,6 @@ impl Diva {
         if cfg.trace_queue {
             coordinator.env.events.record_trace();
         }
-        if cfg.calibrated_delays {
-            coordinator.env.network.apply_calibrated_costs();
-        }
 
         let program = &program;
         std::thread::scope(move |scope| {
@@ -572,51 +538,12 @@ impl Diva {
             "run_driven needs exactly one program per processor"
         );
         let shared = Self::setup_shared(&cfg, &registry, values);
-        let mesh_dims = cfg.program_dims();
-        if cfg.workers > 1 {
-            // Worker count is capped at the processor count: partitions are
-            // non-empty by construction, so extra workers would only idle.
-            let regions = dm_mesh::partition_regions(&cfg.topology, cfg.workers.min(nprocs));
-            let frontend = ParallelFrontend::new(
-                programs,
-                Arc::clone(&shared),
-                cfg.machine,
-                mesh_dims,
-                &regions,
-            );
-            Self::drive(
-                cfg,
-                registry,
-                policy,
-                shared,
-                frontend,
-                ParallelFrontend::into_programs,
-            )
-        } else {
-            let frontend =
-                DrivenFrontend::new(programs, Arc::clone(&shared), cfg.machine, mesh_dims);
-            Self::drive(
-                cfg,
-                registry,
-                policy,
-                shared,
-                frontend,
-                DrivenFrontend::into_programs,
-            )
-        }
-    }
-
-    /// Build the coordinator around a driven frontend, run it to completion
-    /// and package the outcome. `extract` recovers the final program states
-    /// from the frontend.
-    fn drive<P: ProcProgram, F: Frontend>(
-        cfg: DivaConfig,
-        registry: VarRegistry,
-        policy: Box<dyn Policy>,
-        shared: Arc<SharedState>,
-        frontend: F,
-        extract: fn(F) -> Vec<P>,
-    ) -> RunOutcome<P> {
+        let frontend = DrivenFrontend::new(
+            programs,
+            Arc::clone(&shared),
+            cfg.machine,
+            cfg.program_dims(),
+        );
         let barrier = TreeBarrier::new_on(&cfg.topology, cfg.barrier_shape);
         let faults = cfg
             .fault_plan
@@ -636,9 +563,6 @@ impl Diva {
         if cfg.trace_queue {
             coordinator.env.events.record_trace();
         }
-        if cfg.calibrated_delays {
-            coordinator.env.network.apply_calibrated_costs();
-        }
         let (report, frontend, queue_trace, partitioned, loss) = coordinator.run();
         if let Some((at, unreachable)) = partitioned {
             return RunOutcome::Partitioned(Partitioned {
@@ -650,7 +574,8 @@ impl Diva {
         if let Some(loss) = loss {
             // Lost programs are frozen mid-operation; their final states are
             // meaningless and withheld as `None`.
-            let results = extract(frontend)
+            let results = frontend
+                .into_programs()
                 .into_iter()
                 .enumerate()
                 .map(|(p, r)| {
@@ -671,7 +596,7 @@ impl Diva {
         }
         RunOutcome::Completed(RunDone {
             report,
-            results: extract(frontend),
+            results: frontend.into_programs(),
             queue_trace,
         })
     }

@@ -25,9 +25,9 @@
 //!
 //! ## Fault model
 //!
-//! [`LinkCostTable`] generalises the machine-wide link bandwidth and hop
-//! latency to per-link values, which makes degraded and dead links
-//! expressible:
+//! [`LinkCostTable`] generalises the machine-wide link bandwidth to
+//! per-link values and tracks link liveness, which makes degraded and dead
+//! links expressible:
 //!
 //! * **No table** (the default) or a **uniform table**: bit-identical timing
 //!   to the original single-constant code path — the fault-free goldens gate
